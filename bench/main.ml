@@ -29,6 +29,36 @@
 open Bechamel
 open Toolkit
 
+(* Minor-heap words allocated by every domain.  Bechamel's own
+   [Instance.minor_allocated] reads [(Gc.quick_stat ()).minor_words],
+   which on OCaml 5 counts the calling domain's words only at its minor
+   collections: a test allocating less than a minor heap per sample
+   reads exactly 0 there (a 1 000-cons loop reads 0, not ~3 000), so the
+   words fence could not see it.  [Gc.minor_words ()] is exact but
+   covers the calling domain only, which makes the par-sweep rows
+   depend on how the seeds happened to split between domains.  Emptying
+   the minor heap first makes [quick_stat] exact for the calling domain
+   too, and it already includes every joined worker domain.  The
+   collections would distort wall time, so [report_of_run] measures
+   words in a pass of their own. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+
+  let get () =
+    Gc.minor ();
+    (Gc.quick_stat ()).minor_words
+
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+let minor_words =
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
 let fresh_lewko ~n ~t ~seed =
   let inputs = Array.init n (fun i -> i mod 2 = 0) in
   Dsim.Engine.init ~protocol:(Protocols.Lewko_variant.protocol ()) ~n ~fault_bound:t
@@ -644,13 +674,13 @@ let tests ~only =
     (List.map (fun (name, tests) -> Test.make_grouped ~name tests) selected)
 
 let run_benchmarks ?(only = []) ?(quick = false) ?(instances = Instance.[ monotonic_clock ])
-    ?(kde = true) () =
+    ?(kde = true) ?(stabilize = true) () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
   let quota = if quick then Time.second 0.075 else Time.second 0.6 in
   let cfg =
-    Benchmark.cfg ~limit:2000 ~quota ~kde:(if kde then Some 1000 else None) ()
+    Benchmark.cfg ~limit:2000 ~quota ~kde:(if kde then Some 1000 else None) ~stabilize ()
   in
   let raw_results = Benchmark.all cfg instances (tests ~only) in
   let per_instance =
@@ -682,8 +712,18 @@ let estimate_of_ols ols =
   match Analyze.OLS.estimates ols with Some (e :: _) -> Some e | _ -> None
 
 let report_of_run ~quick ~only () =
-  let instances = Instance.[ monotonic_clock; minor_allocated ] in
-  let _, per_instance = run_benchmarks ~only ~quick ~instances ~kde:false () in
+  let _, clock =
+    run_benchmarks ~only ~quick ~instances:[ Instance.monotonic_clock ] ~kde:false ()
+  in
+  (* Words per run are deterministic, so the quick quota is enough, and
+     they need no compacted heap: skipping the per-sample compaction
+     fits many more samples into the quota, which keeps the measure's
+     own per-sample words out of the per-run estimate. *)
+  let _, words =
+    run_benchmarks ~only ~quick:true ~instances:[ minor_words ] ~kde:false
+      ~stabilize:false ()
+  in
+  let per_instance = clock @ words in
   let collect label =
     match
       List.find_opt (fun (i, _) -> String.equal (Measure.label i) label) per_instance
@@ -694,7 +734,7 @@ let report_of_run ~quick ~only () =
           Option.bind (Hashtbl.find_opt tbl name) estimate_of_ols
   in
   let ns_of = collect (Measure.label Instance.monotonic_clock) in
-  let words_of = collect (Measure.label Instance.minor_allocated) in
+  let words_of = collect (Measure.label minor_words) in
   let names =
     List.concat_map
       (fun (_, tbl) -> Hashtbl.fold (fun name _ acc -> name :: acc) tbl [])
