@@ -232,14 +232,8 @@ let deliver_taken t (envelope : _ Envelope.t) =
       t.recent_deliveries.(dst) <-
         (envelope.Envelope.src, envelope.Envelope.payload)
         :: t.recent_deliveries.(dst);
-    Trace.record t.trace
-      (Trace.Delivered
-         {
-           src = envelope.Envelope.src;
-           dst;
-           msg_id = id;
-           depth = envelope.Envelope.depth;
-         });
+    Trace.record_delivered t.trace ~src:envelope.Envelope.src ~dst ~msg_id:id
+      ~depth:envelope.Envelope.depth;
     note_decision t dst before
   end
 

@@ -170,17 +170,25 @@ let note_event t event =
       hash_range t s.scratch ~from:before ~til:(Buffer.length s.scratch);
       if Buffer.length s.scratch >= s.chunk_bytes then flush t
 
+let note t event = if t.record_events then note_event t event
+
+(* The per-delivery entry point: the engine passes the fields, so the
+   [Delivered] block is only built when events are kept. *)
+let record_delivered t ~src ~dst ~msg_id ~depth =
+  t.delivered <- t.delivered + 1;
+  if t.record_events then note_event t (Delivered { src; dst; msg_id; depth })
+
 let record t event =
-  (match event with
-  | Sent _ -> t.sent <- t.sent + 1
-  | Delivered _ -> t.delivered <- t.delivered + 1
-  | Dropped _ -> t.dropped <- t.dropped + 1
-  | Reset_done _ -> t.resets <- t.resets + 1
-  | Crashed _ -> t.crashes <- t.crashes + 1
-  | Window_closed _ -> t.windows_closed <- t.windows_closed + 1
+  match event with
+  | Delivered { src; dst; msg_id; depth } -> record_delivered t ~src ~dst ~msg_id ~depth
+  | Sent _ -> t.sent <- t.sent + 1; note t event
+  | Dropped _ -> t.dropped <- t.dropped + 1; note t event
+  | Reset_done _ -> t.resets <- t.resets + 1; note t event
+  | Crashed _ -> t.crashes <- t.crashes + 1; note t event
+  | Window_closed _ -> t.windows_closed <- t.windows_closed + 1; note t event
   | Decided { pid; value; step; window; chain_depth } ->
-      t.decisions_rev <- (pid, value, step, window, chain_depth) :: t.decisions_rev);
-  if t.record_events then note_event t event
+      t.decisions_rev <- (pid, value, step, window, chain_depth) :: t.decisions_rev;
+      note t event
 
 (* Bulk accounting for a lazily-expanded broadcast: the engine reserves
    ids [first .. first + count - 1] (id = first + dst) in one step, so

@@ -57,6 +57,13 @@ val recording_events : t -> bool
 
 val record : t -> event -> unit
 
+val record_delivered : t -> src:int -> dst:int -> msg_id:int -> depth:int -> unit
+(** [record t (Delivered {src; dst; msg_id; depth})] without building
+    the event unless recording is on: bumps the delivered counter and,
+    when [record_events] is set, records the same event.  The engine's
+    per-delivery path uses this so unrecorded runs allocate nothing
+    here. *)
+
 val record_broadcast : t -> src:int -> first:int -> count:int -> depth:int -> unit
 (** Account for a lazily-expanded broadcast occupying ids
     [first .. first + count - 1] (destination [dst] gets id

@@ -796,7 +796,7 @@ let families : family list =
             Some "decide_quorum",
             {
               lc_module = "Bracha";
-              lc_fun = "init_with";
+              lc_fun = "make_params";
               lc_args = [ ("n", sym_n); ("t", sym_t) ];
               lc_target = Field "decide_at";
             } );

@@ -26,19 +26,26 @@ let tally_with_bit tally bit =
 
 let tally_total tally = tally.val_t + tally.val_f + tally.dec_t + tally.dec_f
 
-type state = {
+(* Per-run constants, fixed at [init] and shared by every successor
+   state: keeping them out of [state] shrinks the record that every
+   delivery rebuilds. *)
+type params = {
   id : int;
   n : int;
   fault_bound : int;
   decide_at : int;  (* matching [Dec v] needed to decide; 2t+1 unless mutated *)
   input : bool;
+  validated : bool;
+}
+
+type state = {
+  params : params;
   output : bool option;
   resets : int;
   round : int;
   phase : int;  (* 1..3: the acceptance quorum currently awaited *)
   x : bool;
   rbc : vote Reliable_broadcast.t;
-  validated : bool;
   admitted : vote Int_map.t Int_map.t;  (* tag -> origin -> vote *)
   tallies : tally Int_map.t;  (* tag -> admitted-vote counts *)
   quarantine : (int * int * vote) list;  (* (tag, origin, vote), unjustified *)
@@ -52,13 +59,17 @@ let vote_equal a b =
   | Val x, Val y | Dec x, Dec y -> Bool.equal x y
   | Val _, Dec _ | Dec _, Val _ -> false
 
-let quorum state = state.n - state.fault_bound
+let quorum state = state.params.n - state.params.fault_bound
 
 let admitted_for state tag =
-  Option.value ~default:Int_map.empty (Int_map.find_opt tag state.admitted)
+  match Int_map.find tag state.admitted with
+  | votes -> votes
+  | exception Not_found -> Int_map.empty
 
 let tally_for state tag =
-  Option.value ~default:tally_empty (Int_map.find_opt tag state.tallies)
+  match Int_map.find tag state.tallies with
+  | tally -> tally
+  | exception Not_found -> tally_empty
 
 let admitted_count_with_bit state tag bit = tally_with_bit (tally_for state tag) bit
 
@@ -73,13 +84,13 @@ let justified state ~tag ~vote =
       (* The sender saw an (n - t)-subset of phase-1 votes with
          majority v: needs at least floor((n-t)/2)+1 such votes. *)
       let v = bit_of_vote vote in
-      let needed = ((state.n - state.fault_bound) / 2) + 1 in
+      let needed = ((state.params.n - state.params.fault_bound) / 2) + 1 in
       admitted_count_with_bit state (tag_of ~round ~phase:1) v >= needed
   | 3 -> (
       match vote with
       | Dec v ->
           (* The sender saw more than n/2 phase-2 votes for v. *)
-          let needed = (state.n / 2) + 1 in
+          let needed = (state.params.n / 2) + 1 in
           admitted_count_with_bit state (tag_of ~round ~phase:2) v >= needed
       | Val _ -> true)
   | _ -> false
@@ -104,7 +115,7 @@ let admit state ~tag ~origin ~vote =
    admission, amortized O(1) per delivered message. *)
 (* lint: allow R15 *)
 let rec ingest state ~tag ~origin ~vote =
-  if (not state.validated) || justified state ~tag ~vote then
+  if (not state.params.validated) || justified state ~tag ~vote then
     let state = admit state ~tag ~origin ~vote in
     drain_quarantine state
   else { state with quarantine = (tag, origin, vote) :: state.quarantine }
@@ -148,7 +159,7 @@ let finish_phase state tally rng =
       let state = { state with x; phase = 2 } in
       rbc_broadcast state (Val x)
   | 2 ->
-      let half = state.n / 2 in
+      let half = state.params.n / 2 in
       let ones = tally_with_bit tally true in
       let zeros = tally_with_bit tally false in
       let payload =
@@ -161,8 +172,8 @@ let finish_phase state tally rng =
   | 3 ->
       let dec_true = tally.dec_t in
       let dec_false = tally.dec_f in
-      let decide_at = state.decide_at in
-      let adopt_at = state.fault_bound + 1 in
+      let decide_at = state.params.decide_at in
+      let adopt_at = state.params.fault_bound + 1 in
       let output =
         match state.output with
         | Some _ as existing -> existing
@@ -186,28 +197,33 @@ let rec advance state rng =
   if tally_total tally >= quorum state then advance (finish_phase state tally rng) rng
   else state
 
-let init_with ?decide_at ~validated ~rbc ~n ~t ~id ~input () =
+let make_params ?decide_at ~validated ~n ~t ~id ~input () =
+  {
+    id;
+    n;
+    fault_bound = t;
+    decide_at = (match decide_at with None -> (2 * t) + 1 | Some d -> d);
+    input;
+    validated;
+  }
+
+let init_with params ~rbc =
   let state =
     {
-      id;
-      n;
-      fault_bound = t;
-      decide_at = (match decide_at with None -> (2 * t) + 1 | Some d -> d);
-      input;
+      params;
       output = None;
       resets = 0;
       round = 1;
       phase = 1;
-      x = input;
+      x = params.input;
       rbc;
-      validated;
       admitted = Int_map.empty;
       tallies = Int_map.empty;
       quarantine = [];
       outbox_rev = [];
     }
   in
-  rbc_broadcast state (Val input)
+  rbc_broadcast state (Val params.input)
 
 (* One reversal per drain of the (short) send list: broadcasts are
    single [Step.Broadcast] values, not n envelopes.
@@ -219,37 +235,43 @@ let on_deliver state ~src message rng =
   (* [sends] is at most one [Step.Broadcast] value: O(1) to queue.
      (* lint: allow R12 *) *)
   let state = { state with rbc; outbox_rev = List.rev_append sends state.outbox_rev } in
-  let tag =
-    match message with
-    | Reliable_broadcast.Initial { tag; _ }
-    | Reliable_broadcast.Echo { tag; _ }
-    | Reliable_broadcast.Ready { tag; _ } ->
-        tag
-  in
-  let state =
-    (* lint: allow R13 — [accepted] has at most one element per receive *)
-    List.fold_left
-      (fun s (origin, vote) -> ingest s ~tag ~origin ~vote)
-      state accepted
-  in
-  advance state rng
+  match accepted with
+  | [] ->
+      (* Nothing admitted: the tallies are as the previous transition
+         left them, short of the current phase's quorum, so [advance]
+         would be a no-op. *)
+      state
+  | _ ->
+      let tag =
+        match message with
+        | Reliable_broadcast.Initial { tag; _ }
+        | Reliable_broadcast.Echo { tag; _ }
+        | Reliable_broadcast.Ready { tag; _ } ->
+            tag
+      in
+      let state =
+        (* lint: allow R13 — [accepted] has at most one element per receive *)
+        List.fold_left
+          (fun s (origin, vote) -> ingest s ~tag ~origin ~vote)
+          state accepted
+      in
+      advance state rng
 
 (* Like Ben-Or, Bracha has no re-join procedure: restart from input.
    [reset_like] keeps the RBC parameters (including any deliberately
    mutated thresholds) while clearing its instances. *)
 let on_reset state =
   let restarted =
-    init_with ~decide_at:state.decide_at ~validated:state.validated
-      ~rbc:(Reliable_broadcast.reset_like state.rbc) ~n:state.n
-      ~t:state.fault_bound ~id:state.id ~input:state.input ()
+    init_with state.params ~rbc:(Reliable_broadcast.reset_like state.rbc)
   in
   { restarted with output = state.output; resets = state.resets + 1 }
 
 let output state = state.output
 
 let observe state =
-  Dsim.Obs.make ~id:state.id ~round:state.round ~estimate:(Some state.x)
-    ~output:state.output ~input:state.input ~resets:state.resets ~phase:state.phase
+  Dsim.Obs.make ~id:state.params.id ~round:state.round ~estimate:(Some state.x)
+    ~output:state.output ~input:state.params.input ~resets:state.resets
+    ~phase:state.phase
 
 let vote_fingerprint = function
   | Val true -> "V1"
@@ -268,14 +290,14 @@ let state_core state =
              |> String.concat ","))
     |> String.concat ";"
   in
-  Printf.sprintf "br:%d:%d:%d:%c:%s:%c:%d:%s:A{%s}:Q%d:%d" state.id state.round
-    state.phase (bit state.x)
+  Printf.sprintf "br:%d:%d:%d:%c:%s:%c:%d:%s:A{%s}:Q%d:%d" state.params.id
+    state.round state.phase (bit state.x)
     (match state.output with None -> "_" | Some v -> String.make 1 (bit v))
-    (bit state.input) state.resets
+    (bit state.params.input) state.resets
     (Reliable_broadcast.fingerprint vote_fingerprint state.rbc)
     admitted
     (List.length state.quarantine)
-    (Dsim.Step.send_count ~n:state.n state.outbox_rev)
+    (Dsim.Step.send_count ~n:state.params.n state.outbox_rev)
 
 let pp_vote ppf v = Format.pp_print_string ppf (vote_fingerprint v)
 
@@ -311,8 +333,9 @@ let protocol ?(validated = false) ?name ?decide_quorum ?rbc_echo_quorum
             ?accept_quorum:(apply_quorum rbc_accept_quorum ~n ~t)
             ~n ~t ~self:id ~equal:vote_equal ()
         in
-        init_with ?decide_at:(apply_quorum decide_quorum ~n ~t) ~validated ~rbc
-          ~n ~t ~id ~input ());
+        init_with ~rbc
+          (make_params ?decide_at:(apply_quorum decide_quorum ~n ~t) ~validated
+             ~n ~t ~id ~input ()));
     outgoing;
     on_deliver;
     on_reset;

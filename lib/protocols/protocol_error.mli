@@ -19,6 +19,10 @@ type t =
       (** A designated-sender index outside [0, n). *)
   | Input_arity_mismatch of { who : string; expected : int; got : int }
       (** An input vector whose length disagrees with [n]. *)
+  | Instance_key_out_of_range of { who : string; origin : int; tag : int }
+      (** A broadcast instance [(origin, tag)] outside the range its
+          packed integer key can represent without colliding: origin in
+          [\[0, 2^30)], tag in [\[-2^31, 2^31)]. *)
 
 val to_string : t -> string
 (** Render the pinned diagnostic message (no trailing newline). *)

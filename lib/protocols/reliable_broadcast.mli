@@ -61,7 +61,15 @@ val receive :
   'p t -> src:int -> 'p msg -> 'p t * 'p msg Dsim.Step.send list * (int * 'p) list
 (** Process an incoming RBC message.  Returns the new state, sends to
     queue, and the list of [(origin, payload)] newly accepted by this
-    call (at most one). *)
+    call (at most one).  A message that changes nothing (a duplicate
+    [Initial], or a repeated sender) returns the state physically
+    unchanged.
+
+    [src] is a pid, so non-negative.  Instances are keyed by a packed
+    int, so the origin must lie in [\[0, 2^30)] and the tag in
+    [\[-2^31, 2^31)]; anything else raises
+    {!Protocol_error.Instance_key_out_of_range} (as [Invalid_argument])
+    rather than colliding with another instance. *)
 
 val accepted : 'p t -> tag:int -> (int * 'p) list
 (** All [(origin, payload)] pairs accepted so far for a tag,

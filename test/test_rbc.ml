@@ -238,6 +238,161 @@ let test_fingerprint_changes () =
   Alcotest.(check bool) "fingerprint reflects state" true
     (Rbc.fingerprint (fun s -> s) a <> Rbc.fingerprint (fun s -> s) b)
 
+(* A duplicate [Initial] changes nothing, so the state comes back
+   physically unchanged rather than as a path-copied equal. *)
+let test_duplicate_initial_same_state () =
+  let state, _, _ = Rbc.receive (create ()) ~src:3 (Rbc.Initial { tag = 5; payload = "v" }) in
+  let again, sends, accepted =
+    Rbc.receive state ~src:3 (Rbc.Initial { tag = 5; payload = "w" })
+  in
+  Alcotest.(check bool) "same state" true (again == state);
+  Alcotest.(check int) "no sends" 0 (List.length sends);
+  Alcotest.(check int) "no acceptance" 0 (List.length accepted)
+
+(* The canonical serialization, byte for byte: instances in ascending
+   (origin, tag) order -- negative tags included -- with sender counts,
+   the sent flags and the accepted payload. *)
+let test_fingerprint_pinned () =
+  let step state (src, message) =
+    let state, _, _ = Rbc.receive state ~src message in
+    state
+  in
+  let script =
+    [ (3, Rbc.Initial { tag = 5; payload = "v" }) ]
+    @ List.init 5 (fun i -> (i + 1, Rbc.Echo { origin = 3; tag = 5; payload = "v" }))
+    @ List.init 5 (fun i -> (i + 2, Rbc.Ready { origin = 3; tag = 5; payload = "v" }))
+    @ [
+        (1, Rbc.Echo { origin = 6; tag = 2; payload = "w" });
+        (1, Rbc.Echo { origin = 6; tag = 2; payload = "w" });
+        (4, Rbc.Echo { origin = 6; tag = 2; payload = "x" });
+        (0, Rbc.Ready { origin = 3; tag = -1; payload = "v" });
+        (6, Rbc.Initial { tag = 0; payload = "u" });
+      ]
+  in
+  let state = List.fold_left step (create ()) script in
+  Alcotest.(check string) "pinned fingerprint"
+    "(3,-1)e0r1;(3,5)e5r5ERAv;(6,0)e0r0E;(6,2)e2r0"
+    (Rbc.fingerprint (fun s -> s) state)
+
+let test_instance_key_range () =
+  let state = create () in
+  Alcotest.check_raises "negative origin"
+    (Invalid_argument "Reliable_broadcast: instance key out of range")
+    (fun () ->
+      ignore (Rbc.receive state ~src:1 (Rbc.Echo { origin = -1; tag = 0; payload = "v" })));
+  Alcotest.check_raises "tag past 2^31"
+    (Invalid_argument "Reliable_broadcast: instance key out of range")
+    (fun () ->
+      ignore (Rbc.receive state ~src:1 (Rbc.Initial { tag = 1 lsl 31; payload = "v" })));
+  (* The extremes of the packable range still order lexicographically. *)
+  let state, _, _ =
+    Rbc.receive state ~src:2 (Rbc.Echo { origin = 0; tag = (1 lsl 31) - 1; payload = "v" })
+  in
+  let state, _, _ =
+    Rbc.receive state ~src:2 (Rbc.Echo { origin = 1; tag = -(1 lsl 31); payload = "v" })
+  in
+  Alcotest.(check string) "extreme keys"
+    "(0,2147483647)e1r0;(1,-2147483648)e1r0"
+    (Rbc.fingerprint (fun s -> s) state)
+
+(* Differential property against [Rbc_reference], the tuple-keyed,
+   map-backed implementation this module replaced: identical sends,
+   acceptances and fingerprints after every step.  Bursts deliver one
+   message kind from a run of consecutive senders, so quorums are
+   reachable even at n = 130 (three words of sender set); overlapping
+   bursts repeat senders, the payload alphabet lets origins equivocate,
+   kinds arrive in any order (readies before echoes), and each origin
+   runs several tags. *)
+type op =
+  | Bcast of { tag : int; payload : string }
+  | Burst of { kind : int; origin : int; tag : int; payload : string; lo : int; count : int }
+
+let pp_op = function
+  | Bcast { tag; payload } -> Printf.sprintf "bcast(%d,%s)" tag payload
+  | Burst { kind; origin; tag; payload; lo; count } ->
+      Printf.sprintf "%s(%d,%d,%s)x[%d+%d]"
+        (match kind with 0 -> "init" | 1 -> "echo" | _ -> "ready")
+        origin tag payload lo count
+
+let tags = [ -3; 0; 1; 2; (1 lsl 31) - 1 ]
+
+let gen_case =
+  let open QCheck.Gen in
+  let* n = oneofl [ 4; 7; 70; 130 ] in
+  let origin = oneof [ int_bound 3; return (n - 1); return (n + 5) ] in
+  let tag = oneofl tags in
+  let payload = oneofl [ "a"; "a"; "b" ] in
+  let op =
+    frequency
+      [
+        (1, map2 (fun tag payload -> Bcast { tag; payload }) tag payload);
+        ( 9,
+          let* kind = int_bound 2 and* origin = origin and* tag = tag
+          and* payload = payload and* lo = int_bound (n - 1)
+          and* count = oneof [ int_range 1 3; int_range 1 n ] in
+          return (Burst { kind; origin; tag; payload; lo; count }) );
+      ]
+  in
+  let* ops = list_size (int_range 1 25) op in
+  let* self = int_bound (n - 1) in
+  return (n, self, ops)
+
+let print_case (n, self, ops) =
+  Printf.sprintf "n=%d self=%d [%s]" n self (String.concat "; " (List.map pp_op ops))
+
+let prop_matches_reference (n, self, ops) =
+  let t = (n - 1) / 3 in
+  let step = ref 0 in
+  let agree what (fresh, sends, accepted) (oracle, sends', accepted') =
+    incr step;
+    let fail fmt = QCheck.Test.fail_reportf ("step %d (%s): " ^^ fmt) !step what in
+    if sends <> sends' then fail "sends differ";
+    if accepted <> accepted' then fail "acceptances differ";
+    let fp = Rbc.fingerprint Fun.id fresh and fp' = Rbc_reference.fingerprint Fun.id oracle in
+    if not (String.equal fp fp') then fail "fingerprint %S vs reference %S" fp fp';
+    List.iter
+      (fun tag ->
+        if Rbc.accepted fresh ~tag <> Rbc_reference.accepted oracle ~tag then
+          fail "accepted ~tag:%d differs" tag)
+      tags;
+    (fresh, oracle)
+  in
+  let run (fresh, oracle) = function
+    | Bcast { tag; payload } ->
+        let fresh, sends = Rbc.broadcast fresh ~tag payload in
+        let oracle, sends' = Rbc_reference.broadcast oracle ~tag payload in
+        agree "broadcast" (fresh, sends, []) (oracle, sends', [])
+    | Burst { kind; origin; tag; payload; lo; count } ->
+        let message =
+          match kind with
+          | 0 -> Rbc.Initial { tag; payload }
+          | 1 -> Rbc.Echo { origin; tag; payload }
+          | _ -> Rbc.Ready { origin; tag; payload }
+        in
+        let rec go i (fresh, oracle) =
+          if i = count then (fresh, oracle)
+          else
+            let src = (lo + i) mod n in
+            go (i + 1)
+              (agree "receive"
+                 (Rbc.receive fresh ~src message)
+                 (Rbc_reference.receive oracle ~src message))
+        in
+        go 0 (fresh, oracle)
+  in
+  ignore
+    (List.fold_left run
+       ( Rbc.create ~n ~t ~self ~equal:String.equal (),
+         Rbc_reference.create ~n ~t ~self ~equal:String.equal () )
+       ops);
+  true
+
+let test_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"matches the map-backed reference"
+       (QCheck.make ~print:print_case gen_case)
+       prop_matches_reference)
+
 let suite =
   [
     Alcotest.test_case "broadcast sends initial" `Quick test_broadcast_sends_initial;
@@ -254,4 +409,9 @@ let suite =
     Alcotest.test_case "equivocation agreement + totality" `Quick
       test_equivocation_agreement_property;
     Alcotest.test_case "fingerprint changes" `Quick test_fingerprint_changes;
+    Alcotest.test_case "duplicate initial keeps state" `Quick
+      test_duplicate_initial_same_state;
+    Alcotest.test_case "fingerprint pinned" `Quick test_fingerprint_pinned;
+    Alcotest.test_case "instance key range" `Quick test_instance_key_range;
+    test_matches_reference;
   ]
