@@ -394,10 +394,9 @@ let bench_bracha_window ~n =
       Dsim.Engine.apply_window c window)
 
 (* Full Bracha *agreement* end to end: benign fault-free windows until
-   every processor decides (9 windows at seed 21 for each bench n).
-   The batched applier fuses each chunk of identical windows into one
-   mailbox sweep; incremental RBC tallies keep the per-delivery cost
-   flat.  Decision count is asserted during setup, not in the staged
+   every processor decides (9 windows at seed 21 for each bench n),
+   checked after each chunk of three windows; incremental RBC tallies
+   keep the per-delivery cost flat.  Decision count is asserted during setup, not in the staged
    closure, so the measured loop stays allocation-honest. *)
 let bench_bracha_agreement ~n =
   let t = (n - 1) / 3 in
@@ -410,7 +409,7 @@ let bench_bracha_agreement ~n =
   let run c =
     let budget = ref 32 in
     while (not (Dsim.Engine.all_decided c)) && !budget > 0 do
-      Dsim.Engine.apply_windows c chunk;
+      List.iter (fun w -> Dsim.Engine.apply_window c w) chunk;
       decr budget
     done
   in
@@ -427,12 +426,10 @@ let bench_bracha_agreement ~n =
 let bench_window_make_uniform ~n =
   Staged.stage (fun () -> ignore (Sys.opaque_identity (Dsim.Window.uniform ~n ())))
 
-(* Batched-vs-unbatched twin over identical uniform windows on the
-   steady-state single-broadcaster protocol: the same [count] windows
-   through [apply_windows] (one fused sweep per run) and through the
-   window-at-a-time loop.  Bit-identical outcomes (the kernel-diff
-   suite pins that); the words ratio is the batching win. *)
-let bench_window_run ~n ~count ~batched =
+(* A run of [count] identical uniform windows on the steady-state
+   single-broadcaster protocol, applied one at a time — the shape of
+   every fault-free agreement run and fixed-silencing sweep. *)
+let bench_window_run ~n ~count =
   let config =
     Dsim.Engine.init ~protocol:(bcast_protocol ~all:false) ~n ~fault_bound:0
       ~inputs:(Array.make n false) ~seed:22 ()
@@ -444,8 +441,7 @@ let bench_window_run ~n ~count ~batched =
   let windows = List.init count (fun _ -> window) in
   Staged.stage (fun () ->
       let c = Dsim.Engine.copy config in
-      if batched then Dsim.Engine.apply_windows c windows
-      else List.iter (fun w -> Dsim.Engine.apply_window c w) windows)
+      List.iter (fun w -> Dsim.Engine.apply_window c w) windows)
 
 (* Sequential-vs-parallel throughput of the ensemble sweep engine: the
    same 32-seed E2-style sweep at jobs = 1 / 2 / recommended.  On a
@@ -657,10 +653,8 @@ let groups =
         Test.make ~name:"window-make-uniform-n10000" (bench_window_make_uniform ~n:10000);
         Test.make ~name:"window-make-uniform-n100000"
           (bench_window_make_uniform ~n:100000);
-        Test.make ~name:"windows-batched-n1000-k8"
-          (bench_window_run ~n:1000 ~count:8 ~batched:true);
         Test.make ~name:"windows-unbatched-n1000-k8"
-          (bench_window_run ~n:1000 ~count:8 ~batched:false);
+          (bench_window_run ~n:1000 ~count:8);
       ] );
   ]
 

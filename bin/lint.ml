@@ -14,7 +14,8 @@
    R11-R14; layer 5 (--quorum) proves the quorum-threshold arithmetic
    R15-R18 symbolically for all n, t; all three cmt layers require
    `dune build` to have run.  Exit codes: 0 clean, 1 rule violations,
-   2 read/parse/load errors — so any layer can gate CI via
+   2 read/parse/load errors; a --baseline entry that matches no
+   finding is stale and also exits 1 — so any layer can gate CI via
    `dune build @lint` / `@lint-typed` / `@lint-cost` /
    `@lint-quorum`. *)
 
@@ -27,24 +28,27 @@ let render format report =
   | `Baseline -> Lintkit.Driver.render_baseline Format.std_formatter report
   | `Human -> Lintkit.Driver.render_human Format.std_formatter report
 
-let exit_code (report : Lintkit.Driver.report) =
-  if report.errors <> [] then 2
-  else if report.diagnostics <> [] then 1
-  else 0
-
+(* Waive the baselined findings and name every stale entry (one that
+   matches no finding) on stderr; stale entries fail the run. *)
 let with_baseline baseline report =
   match baseline with
-  | None -> Ok report
+  | None -> Ok (report, [])
   | Some file -> (
       match Lintkit.Driver.read_baseline file with
       | Error e -> Error (Printf.sprintf "baseline %s: %s" file e)
       | Ok entries ->
+          let stale = Lintkit.Driver.stale_baseline entries report in
           let report, waived = Lintkit.Driver.apply_baseline entries report in
           if waived > 0 then
             Format.eprintf "lint: %d finding%s waived by baseline %s@." waived
               (if waived = 1 then "" else "s")
               file;
-          Ok report)
+          List.iter
+            (fun (rule, path, message) ->
+              Format.eprintf "lint: stale baseline entry in %s: %s\t%s\t%s@."
+                file rule path message)
+            stale;
+          Ok (report, stale))
 
 (* All layers on a single standalone source file: the syntactic pass,
    then an in-memory typecheck for R7-R10 and R11-R14.  Used by
@@ -79,7 +83,7 @@ let check_file format file =
         }
       in
       render format report;
-      exit_code report
+      Lintkit.Driver.exit_code report
 
 let run root dirs format explain typed cost quorum baseline check =
   match explain with
@@ -126,9 +130,9 @@ let run root dirs format explain typed cost quorum baseline check =
           | Error e ->
               Format.eprintf "lint: %s@." e;
               2
-          | Ok report ->
+          | Ok (report, stale) ->
               render format report;
-              exit_code report))
+              Lintkit.Driver.exit_code ~stale report))
 
 let root =
   Arg.(value & opt string "." & info [ "root" ] ~docv:"DIR"
@@ -180,7 +184,9 @@ let baseline =
   Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE"
          ~doc:"Waive findings listed in FILE (RULE<TAB>PATH<TAB>MESSAGE \
                lines, '#' comments). Seed one by redirecting \
-               $(b,--format baseline) output to FILE.")
+               $(b,--format baseline) output to FILE. An entry that \
+               matches no finding is stale: it is printed and the run \
+               exits 1.")
 
 let check =
   Arg.(value & opt (some string) None & info [ "check" ] ~docv:"FILE"

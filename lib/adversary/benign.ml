@@ -1,5 +1,5 @@
 let windowed () =
-  fun config -> Some (Strategy.cached_uniform ~n:(Dsim.Engine.n config) ())
+  fun config -> Some (Dsim.Window.uniform ~n:(Dsim.Engine.n config) ())
 
 (* Agenda-driven step strategies: when the queue empties, plan the next
    full cycle based on the current configuration. *)

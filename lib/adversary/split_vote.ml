@@ -13,9 +13,7 @@ let balancing_silence config =
 let windowed () =
   fun config ->
     let n = Dsim.Engine.n config in
-    (* The balancing set stabilizes once the estimates do; the memo
-       then replays one shared window and the engine can batch. *)
-    Some (Strategy.cached_uniform ~n ~silenced:(balancing_silence config) ())
+    Some (Dsim.Window.uniform ~n ~silenced:(balancing_silence config) ())
 
 let windowed_with_resets () =
   fun config ->

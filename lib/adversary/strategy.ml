@@ -1,28 +1,6 @@
 type ('s, 'm) windowed = ('s, 'm) Dsim.Engine.t -> Dsim.Window.t option
 type ('s, 'm) stepwise = ('s, 'm) Dsim.Engine.t -> 'm Dsim.Step.t option
 
-(* Windowed strategies rebuild the same uniform window for long
-   stretches (benign sweeps, fixed silencing).  A last-one memo keyed
-   on the exact parameters hands those stretches back the SAME
-   [Window.t]: construction leaves the per-window path, and — because
-   the engine's batched applier fuses on physically-equal masks —
-   [Engine.apply_windows] can collapse the whole stretch into one
-   sweep.  Sound because windows are immutable once built. *)
-let uniform_memo : (int * int list * int list * Dsim.Window.t) option ref =
-  ref None
-
-let cached_uniform ~n ?(silenced = []) ?(resets = []) () =
-  match !uniform_memo with
-  | Some (n', s', r', w)
-    when n' = n
-         && List.equal Int.equal s' silenced
-         && List.equal Int.equal r' resets ->
-      w
-  | _ ->
-      let w = Dsim.Window.uniform ~n ~silenced ~resets () in
-      uniform_memo := Some (n, silenced, resets, w);
-      w
-
 let limit_windows budget strategy =
   let remaining = ref budget in
   fun config ->

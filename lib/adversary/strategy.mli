@@ -17,14 +17,6 @@ type ('s, 'm) windowed = ('s, 'm) Dsim.Engine.t -> Dsim.Window.t option
 type ('s, 'm) stepwise = ('s, 'm) Dsim.Engine.t -> 'm Dsim.Step.t option
 (** Supplies the next fine-grained step, or halts. *)
 
-val cached_uniform :
-  n:int -> ?silenced:int list -> ?resets:int list -> unit -> Dsim.Window.t
-(** {!Dsim.Window.uniform} behind a last-one memo: repeated calls with
-    equal parameters return the very same window, so a run of them
-    carries physically-equal masks and {!Dsim.Engine.apply_windows}
-    can fuse the run into one sweep.  Windows are immutable once
-    built, so sharing is sound. *)
-
 val limit_windows : int -> ('s, 'm) windowed -> ('s, 'm) windowed
 (** Halt after the given number of windows have been supplied. *)
 

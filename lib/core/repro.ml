@@ -733,10 +733,7 @@ let e10_ablations ?(jobs = 1) ~scale () =
     fun config ->
       let n = Dsim.Engine.n config and t = Dsim.Engine.fault_bound config in
       let silenced = Prng.Stream.sample_without_replacement rng t n in
-      (* Through the shared memo like the other windowed adversaries:
-         fresh samples miss it, but repeated draws of the same set (small
-         binom(n, t)) reuse the window object and fuse in the engine. *)
-      Some (Adversary.Strategy.cached_uniform ~n ~silenced ())
+      Some (Dsim.Window.uniform ~n ~silenced ())
   in
   List.iter
     (fun (setting, strategy) ->

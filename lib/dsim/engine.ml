@@ -215,8 +215,7 @@ let do_send t p =
   end
 
 (* Deliver an envelope already removed from the mailbox: the tail of
-   [do_deliver], shared with the batched sweep whose [Mailbox.drain_for]
-   removes envelopes as it visits them. *)
+   [do_deliver], shared with [deliver_drained]. *)
 let deliver_taken t (envelope : _ Envelope.t) =
   let id = envelope.Envelope.id in
   let dst = envelope.Envelope.dst in
@@ -241,6 +240,12 @@ let do_deliver t id =
   match Mailbox.take t.mailbox id with
   | None -> invalid_arg (Printf.sprintf "Engine: deliver of unknown message #%d" id)
   | Some envelope -> deliver_taken t envelope
+
+(* One [Deliver] step for an envelope [Mailbox.drain_for] has already
+   removed: the same step count and delivery as [apply (Deliver id)]. *)
+let deliver_drained t envelope =
+  t.step_index <- t.step_index + 1;
+  deliver_taken t envelope
 
 let do_reset t p =
   if not t.crashed.(p) then begin
@@ -282,16 +287,14 @@ let apply_window t ?(drop_undelivered = true) ?tamper window =
      fresh messages after they are sent and before any is delivered. *)
   (match tamper with None -> () | Some f -> f ~from_id:fresh_from ~til_id:fresh_to);
   (* Phase 2: each processor i receives the just-sent messages from S_i,
-     in ascending (sender, id) order — "some fixed order".  The mailbox's
-     per-destination queues and the window's receive-set masks make this
-     a single allocation-free walk per processor. *)
+     in ascending (sender, id) order — "some fixed order".  One
+     visit-and-remove merge walk per processor over its mailbox queue;
+     the receive-set probe and the delivery callback are built once per
+     window. *)
+  let allow = Window.allows window and deliver = deliver_drained t in
   for dst = 0 to t.n - 1 do
-    Mailbox.iter_for t.mailbox ~dst (fun e ->
-        let id = e.Envelope.id in
-        if
-          id >= fresh_from && id < fresh_to
-          && Window.allows window ~dst ~src:e.Envelope.src
-        then apply t (Step.Deliver id))
+    Mailbox.drain_for t.mailbox ~dst ~from:fresh_from ~til:fresh_to ~allow
+      deliver
   done;
   (* Undelivered fresh messages can never legally be delivered by a
      later window, so clear them out: one ascending merge walk over the
@@ -305,68 +308,7 @@ let apply_window t ?(drop_undelivered = true) ?tamper window =
   t.window_index <- t.window_index + 1;
   Trace.record t.trace (Trace.Window_closed { index = t.window_index })
 
-(* Fused sweep over a run of [count] consecutive uniform windows that
-   share [mask] and reset nobody: one batch-condition check for the
-   whole run, delivery through [Mailbox.drain_for] (visit + remove in a
-   single merge walk, direct mask membership instead of the
-   [Window.allows] indirection), and bulk window accounting at the end.
-   Step-for-step identical to [count] [apply_window] calls — same
-   sends, same ascending delivery order, same freshness checks, same
-   drop sweep, same counter arithmetic — which the kernel-diff suite's
-   batched-vs-sequential differential pins down. *)
-let apply_uniform_run t ~drop_undelivered ~mask count =
-  let allow src = Bitset.mem mask src in
-  for _ = 1 to count do
-    let fresh_from = t.next_msg_id in
-    for p = 0 to t.n - 1 do
-      apply t (Step.Send p)
-    done;
-    let fresh_to = t.next_msg_id in
-    for dst = 0 to t.n - 1 do
-      Mailbox.drain_for t.mailbox ~dst ~from:fresh_from ~til:fresh_to ~allow
-        (fun e ->
-          t.step_index <- t.step_index + 1;
-          deliver_taken t e)
-    done;
-    if drop_undelivered then
-      Mailbox.iter_ids_in_range t.mailbox ~from:fresh_from ~til:fresh_to
-        (fun id -> apply t (Step.Drop id));
-    t.window_index <- t.window_index + 1
-  done;
-  Trace.record_windows_closed t.trace ~count
-
-(* A window joins a fused run iff it is uniform-represented (one shared
-   fully-packed mask), resets nobody and matches the engine's arity;
-   runs additionally require event recording to be off, because the
-   bulk accounting elides the interleaved [Window_closed] events. *)
-let fusable_mask t w =
-  if Window.arity w = t.n && Window.reset_count w = 0 then Window.uniform_mask w
-  else None
-
-let apply_windows t ?(drop_undelivered = true) windows =
-  let fuse_ok = not (Trace.recording_events t.trace) in
-  let rec go = function
-    | [] -> ()
-    | w :: rest -> (
-        match if fuse_ok then fusable_mask t w else None with
-        | None ->
-            apply_window t ~drop_undelivered w;
-            go rest
-        | Some mask ->
-            let rec extend count = function
-              | w2 :: tl ->
-                  (match fusable_mask t w2 with
-                  | Some m2 when m2 == mask || Bitset.equal m2 mask ->
-                      extend (count + 1) tl
-                  | Some _ | None -> (count, w2 :: tl))
-              | [] -> (count, [])
-            in
-            let count, rest = extend 1 rest in
-            apply_uniform_run t ~drop_undelivered ~mask count;
-            go rest)
-  in
-  go windows
-
 let deliver_all_pending t ~dst =
-  Mailbox.iter_for t.mailbox ~dst (fun e ->
-      apply t (Step.Deliver e.Envelope.id))
+  Mailbox.drain_for t.mailbox ~dst ~from:0 ~til:max_int
+    ~allow:(fun ~dst:_ ~src:_ -> true)
+    (deliver_drained t)

@@ -144,22 +144,11 @@ val apply_window :
     after the sending phase and before any delivery, with the fresh id
     range [\[from_id, til_id)]; it is the hook for in-transit Byzantine
     corruption ([Step.Corrupt] on fresh ids) and is what the model
-    checker's corruption menu drives. *)
-
-val apply_windows : ('s, 'm) t -> ?drop_undelivered:bool -> Window.t list -> unit
-(** Apply the windows in order, exactly as repeated {!apply_window}
-    calls would — but runs of consecutive windows that share one
-    fully-packed uniform receive mask ({!Window.uniform_mask}) and
-    reset nobody are applied as one fused sweep: a single batch check,
-    delivery through the mailbox's fused visit-and-remove walk with
-    direct mask membership, and bulk trace accounting.  This is the
-    shape every n-sweep bench and fault-free agreement run emits.
-    Fusion silently falls back to per-window application when event
-    recording is on (the bulk accounting would elide the interleaved
-    [Window_closed] events) or when a window fails the batch
-    conditions; results are step-for-step identical either way.
-    Windows are not validated — callers run {!Window.validate} first,
-    as {!Runner.run_windows} does. *)
+    checker's corruption menu drives.  This is the only window
+    applier: runners, the model checker, lookahead and the lower-bound
+    machinery all apply windows through it, one at a time. *)
 
 val deliver_all_pending : ('s, 'm) t -> dst:int -> unit
-(** Deliver every pending message addressed to [dst], ascending id. *)
+(** Deliver every pending message addressed to [dst], ascending id,
+    one [Deliver] step each.  Raises [Invalid_argument] on a negative
+    [dst]. *)

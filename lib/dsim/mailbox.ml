@@ -536,16 +536,6 @@ let pending_ids t =
   iter_all t (fun e -> acc := e.Envelope.id :: !acc);
   List.rev !acc
 
-let pending_from t ~src =
-  let acc = ref [] in
-  iter_all t (fun e -> if e.Envelope.src = src then acc := e :: !acc);
-  List.rev !acc
-
-let filter_ids t f =
-  let acc = ref [] in
-  iter_all t (fun e -> if f e then acc := e.Envelope.id :: !acc);
-  List.rev !acc
-
 (* Two-pointer merge of dst's arena queue (ascending by construction)
    with the live broadcast entries (ascending [bc_first], at most one
    contribution — id [bc_first + dst] — each).  Cursors advance before
@@ -603,9 +593,9 @@ let pending_for t ~dst =
 
 (* [iter_for] fused with removal: visit dst's pending envelopes
    ascending, and for each one with id in [from, til) whose source
-   passes [allow], remove it from the store {e before} the callback
-   runs.  One merge walk instead of a walk plus a per-envelope [take]
-   re-probe — the engine's batched uniform-window sweep runs on this. *)
+   passes [allow ~dst], remove it from the store {e before} the
+   callback runs.  One merge walk instead of a walk plus a per-envelope
+   [take] re-probe — the engine's window delivery runs on this. *)
 let drain_for t ~dst ~from ~til ~allow f =
   if dst < 0 then invalid_arg "Mailbox.drain_for: negative dst";
   let ucur = ref (if dst < Array.length t.heads then t.heads.(dst) else -1) in
@@ -637,7 +627,7 @@ let drain_for t ~dst ~from ~til ~allow f =
       if uid >= 0 && uid < bid then begin
         let rel = uid - t.base in
         ucur := t.nexts.(rel);
-        if uid >= from && uid < til && allow t.srcs.(rel) then begin
+        if uid >= from && uid < til && allow ~dst ~src:t.srcs.(rel) then begin
           let env = env_of_slot t rel in
           arena_remove t rel;
           f env
@@ -647,7 +637,7 @@ let drain_for t ~dst ~from ~til ~allow f =
         match bc with
         | Some b ->
             incr k;
-            if bid >= from && bid < til && allow b.bc_src then begin
+            if bid >= from && bid < til && allow ~dst ~src:b.bc_src then begin
               let env = env_of_bc b bid in
               bc_remove t kb b bid;
               f env

@@ -75,36 +75,32 @@ val pending : 'm t -> 'm Envelope.t list
 (** All pending envelopes, ascending id. *)
 
 val pending_for : 'm t -> dst:int -> 'm Envelope.t list
-val pending_from : 'm t -> src:int -> 'm Envelope.t list
 val pending_ids : 'm t -> int list
-
-val filter_ids : 'm t -> ('m Envelope.t -> bool) -> int list
-(** Ids of pending envelopes satisfying the predicate, ascending. *)
 
 val iter_for : 'm t -> dst:int -> ('m Envelope.t -> unit) -> unit
 (** Visit the pending envelopes addressed to [dst] in ascending-id
     order (arena queue merged with the broadcast table's contributions
     for [dst]).  The callback may {!take} (or {!mem}, {!find},
-    {!replace_payload}) the envelope it is visiting — the engine's
-    delivery loop does — but must not {!add} to this mailbox while the
-    iteration runs. *)
+    {!replace_payload}) the envelope it is visiting, but must not
+    {!add} to this mailbox while the iteration runs. *)
 
 val drain_for :
   'm t ->
   dst:int ->
   from:int ->
   til:int ->
-  allow:(int -> bool) ->
+  allow:(dst:int -> src:int -> bool) ->
   ('m Envelope.t -> unit) ->
   unit
 (** {!iter_for} fused with removal: visit the pending envelopes
     addressed to [dst] in ascending-id order, and for each with id in
-    [\[from, til)] whose source passes [allow], remove it from the
-    store and then invoke the callback.  Envelopes outside the range or
-    not allowed stay pending and are skipped.  One merge walk instead
-    of an iteration plus per-envelope {!take} re-probes — the engine's
-    batched uniform-window sweep delivers through this.  The callback
-    must not {!add}.  Raises [Invalid_argument] on a negative [dst]. *)
+    [\[from, til)] whose source [src] passes [allow ~dst ~src], remove
+    it from the store and then invoke the callback.  Envelopes outside
+    the range or not allowed stay pending and are skipped.  One merge
+    walk instead of an iteration plus per-envelope {!take} re-probes —
+    the engine's window delivery passes [Window.allows window] here, one
+    closure per window.  The callback must not {!add}.  Raises
+    [Invalid_argument] on a negative [dst]. *)
 
 val iter_ids_in_range : 'm t -> from:int -> til:int -> (int -> unit) -> unit
 (** Visit the pending ids in [\[from, til)] ascending.  The callback

@@ -57,13 +57,8 @@ val validate : n:int -> t:int -> t -> (unit, string) result
     ["S_2 contains out-of-range pid 7 (n = 3)"]) so model-checker
     counterexamples and user-facing diagnostics stay actionable. *)
 
-val arity : t -> int
-(** Number of receive-set slots (the [n] the window was built for). *)
-
 val resets : t -> int list
 (** The set [R] of processors reset at window end.  Sorted, duplicate-free. *)
-
-val reset_count : t -> int
 
 val receive_set : t -> int -> int list
 (** [S_i], sorted and duplicate-free — projects (and memoizes) the list
@@ -77,20 +72,13 @@ val to_lists : t -> int list array
 val receive_set_size : t -> int -> int
 (** [|S_i|] — O(1), off the cached size, no projection. *)
 
-val uniform_mask : t -> Bitset.t option
-(** The single shared receive mask when this window is
-    uniform-represented with every member packed (no out-of-clamp
-    pids); [None] otherwise.  [Engine.apply_windows] keys its batching
-    on this: two windows with equal uniform masks and no resets apply
-    identically. *)
-
 val allows : t -> dst:int -> src:int -> bool
 (** [allows w ~dst ~src] iff [src >= 0] and [src ∈ S_dst] — O(1),
     total in [src].  A negative pid answers [false] even when an
     unvalidated window stores one in [S_dst]: it can never name a
     sender, which is exactly how the delivery loop always treated it.
-    Raises [Invalid_argument] when [dst] is outside the window's arity,
-    matching {!receive_set}. *)
+    Raises [Invalid_argument] when [dst] is outside the window's
+    receive-set slots, matching {!receive_set}. *)
 
 val is_fault_free : t -> n:int -> bool
 val pp : Format.formatter -> t -> unit

@@ -39,14 +39,14 @@ let default_config =
   {
     hot_roots =
       [
-        "Engine.apply_window"; "Engine.apply_windows";
+        "Engine.apply_window";
         "Engine.deliver_all_pending";
         "Mailbox.add"; "Mailbox.add_unicast"; "Mailbox.add_broadcast";
         "Mailbox.take"; "Mailbox.find"; "Mailbox.mem";
         "Mailbox.replace_payload"; "Mailbox.iter_for";
         "Mailbox.iter_ids_in_range"; "Mailbox.drain_for";
         "Window.make"; "Window.uniform"; "Window.hybrid"; "Window.allows";
-        "Window.receive_set_size"; "Window.uniform_mask";
+        "Window.receive_set_size";
       ];
     transition_fields = [ "outgoing"; "on_deliver"; "on_reset"; "output" ];
     overrides =
@@ -96,7 +96,6 @@ let default_config =
         ("Bitset.of_list", Costs.Linear);
         ("Bitset.full", Costs.Linear);
         ("Bitset.copy", Costs.Linear);
-        ("Bitset.equal", Costs.Linear);
         ("Bitset.cardinal", Costs.Linear);
         ("Bitset.cardinal_below", Costs.Linear);
         ("Bitset.popcount_word", Costs.Const);
@@ -110,9 +109,6 @@ let default_config =
            bounded line, hashes its bytes, and amortizes the chunked
            sink flush across chunk_bytes of output. *)
         ("Trace.note_event", Costs.Const);
-        (* Bulk window accounting for the batched applier: one counter
-           add per fused run. *)
-        ("Trace.record_windows_closed", Costs.Const);
       ];
     exempt_modules = Effects.default_exempt_modules;
   }

@@ -175,6 +175,15 @@ let apply_baseline entries report =
   in
   ({ report with diagnostics = keep }, List.length waived)
 
+let stale_baseline entries report =
+  let live = List.map baseline_key report.diagnostics in
+  List.filter (fun entry -> not (List.mem entry live)) entries
+
+let exit_code ?(stale = []) report =
+  if report.errors <> [] then 2
+  else if report.diagnostics <> [] || stale <> [] then 1
+  else 0
+
 let render_baseline ppf report =
   Format.fprintf ppf
     "# lint baseline: RULE<TAB>PATH<TAB>MESSAGE, one accepted finding per \

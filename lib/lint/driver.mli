@@ -71,6 +71,18 @@ val apply_baseline :
 (** Drop baselined diagnostics; returns the filtered report and how
     many findings the baseline waived. *)
 
+val stale_baseline :
+  (string * string * string) list -> report -> (string * string * string) list
+(** The entries, in file order, that match no diagnostic of the
+    (unfiltered) report: waivers for findings that no longer exist.
+    The CLI prints each one and fails, so a baseline cannot keep
+    silently waiving code that was deleted or fixed. *)
+
+val exit_code : ?stale:(string * string * string) list -> report -> int
+(** The CLI's exit contract: 2 when the report carries scan errors,
+    else 1 when it has findings or [stale] (default empty) names a
+    stale baseline entry, else 0. *)
+
 val render_baseline : Format.formatter -> report -> unit
 (** Emit the report's diagnostics in baseline syntax (the documented
     way to seed a baseline file).  Entries are sorted by

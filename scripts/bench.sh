@@ -9,12 +9,11 @@
 #                                     docs/BENCHMARKS.md "Scaling
 #                                     curves" tables, including the
 #                                     window-make-uniform sweep and the
-#                                     windows-batched / windows-unbatched
-#                                     twin whose word gap fences the
-#                                     batched applier), tiny quota, gate
-#                                     on allocations only — wall time
-#                                     at n = 10^4 is too host-dependent
-#                                     to fence
+#                                     windows-unbatched row whose words
+#                                     fence the one window path), tiny
+#                                     quota, gate on allocations only —
+#                                     wall time at n = 10^4 is too
+#                                     host-dependent to fence
 #   scripts/bench.sh --record         full run, NO gate; rewrites
 #                                     bench/BASELINE.json (use after an
 #                                     intentional perf change, commit the

@@ -150,6 +150,12 @@ let _p = { Protocol.on_deliver = handle }
 EOF
 expect 1 "$lint" --check "$cost_bad_dir/lib/protocols/rescan.ml"
 expect 2 "$lint" --cost --root "$fixture_dir"
+# Baselines: the checked-in cost baseline waives every finding (0); the
+# same file plus one entry that matches no finding is stale (1).
+expect 0 "$lint" --cost --root . --baseline lint/cost-baseline.tsv
+cp lint/cost-baseline.tsv "$fixture_dir/stale.tsv"
+printf 'R11\tlib/dsim/engine.ml\tno such finding\n' >> "$fixture_dir/stale.tsv"
+expect 1 "$lint" --cost --root . --baseline "$fixture_dir/stale.tsv"
 # Quorum layer: a hot recursive function whose every site is O(1) —
 # R11's blind spot, caught by R15 (the layer's cost rule) via --check;
 # the full-tree scan exits 1 on the intentional mutants, the
@@ -171,7 +177,7 @@ expect 0 "$lint" --quorum --root . $quorum_dirs \
   --baseline lint/quorum-baseline.tsv
 expect 2 "$lint" --quorum --root "$fixture_dir"
 rm -rf "$fixture_dir" "$static_bad_dir" "$cost_bad_dir" "$quorum_bad_dir"
-echo "check: exit-code matrix ok (0 clean / 1 findings / 2 errors)"
+echo "check: exit-code matrix ok (0 clean / 1 findings or stale waivers / 2 errors)"
 
 echo "check: bench exit-code matrix + --quick regression smoke"
 # scripts/bench.sh mirrors the lint CLI contract: 0 clean, 1 a named
@@ -207,10 +213,10 @@ echo "check: streamed-trace sink differential"
 # The ring/chunked sinks must reproduce the Memory sink's event
 # fingerprint bit-for-bit.  Gated exit-code style on the kernel-diff
 # qcheck differential plus the pinned lewko run through a chunked sink
-# (cases 7..8) and the trace suite's sink unit tests — alcotest exits
+# (cases 6..7) and the trace suite's sink unit tests — alcotest exits
 # 0 on success, 1 on any failure.
 tests="_build/default/test/test_main.exe"
-expect 0 "$tests" test kernel-diff 7..8
+expect 0 "$tests" test kernel-diff 6..7
 expect 0 "$tests" test trace
 echo "check: trace sinks fingerprint-identical across Memory/Ring/Chunks"
 

@@ -304,7 +304,7 @@ let test_nest_depth () =
     (Costs.nest_depth 1 Costs.Linear)
 
 (* ------------------------------------------------------------------ *)
-(* Baseline rendering: sorted and deduplicated.                        *)
+(* Baselines: rendering sorted and deduplicated; stale entries fail.  *)
 
 let rule_exn id =
   match Rules.of_id id with
@@ -338,6 +338,50 @@ let test_baseline_render_stable () =
       R11\tlib/a.ml\talpha\nR11\tlib/b.ml\talpha\nR12\tlib/b.ml\tbeta\n")
     rendered
 
+(* A baseline entry that matches no finding is stale: it is reported
+   (in file order) and fails the run with exit 1, even when every
+   finding is waived. *)
+let test_baseline_stale_entry () =
+  let r11 = rule_exn "R11" in
+  let report =
+    {
+      Driver.diagnostics =
+        [ diag ~rule:r11 ~path:"lib/a.ml" ~line:7 ~message:"alpha" ];
+      errors = [];
+      files_scanned = 1;
+    }
+  in
+  let file = Filename.temp_file "cost_baseline" ".tsv" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_text file (fun oc ->
+          Out_channel.output_string oc
+            "# justification\n\
+             R11\tlib/a.ml\tgone\n\
+             R11\tlib/a.ml\talpha\n\
+             R12\tlib/b.ml\talpha\n");
+      let entries =
+        match Driver.read_baseline file with
+        | Ok entries -> entries
+        | Error e -> Alcotest.failf "read_baseline: %s" e
+      in
+      let stale = Driver.stale_baseline entries report in
+      Alcotest.(check (list (triple string string string)))
+        "unmatched entries, in file order"
+        [ ("R11", "lib/a.ml", "gone"); ("R12", "lib/b.ml", "alpha") ]
+        stale;
+      let kept, waived = Driver.apply_baseline entries report in
+      Alcotest.(check int) "the live entry still waives" 1 waived;
+      Alcotest.(check int) "clean report exits 0" 0 (Driver.exit_code kept);
+      Alcotest.(check int) "stale entries exit 1" 1
+        (Driver.exit_code ~stale kept);
+      Alcotest.(check int) "scan errors still exit 2" 2
+        (Driver.exit_code ~stale { kept with Driver.errors = [ "boom" ] });
+      Alcotest.(check (list (triple string string string)))
+        "a baseline matching every finding has no stale entry" []
+        (Driver.stale_baseline [ ("R11", "lib/a.ml", "alpha") ] report))
+
 (* ------------------------------------------------------------------ *)
 (* The real tree: clean modulo the checked-in baseline.                *)
 
@@ -366,6 +410,9 @@ let test_repo_is_cost_clean () =
         | Ok b -> b
         | Error e -> Alcotest.failf "baseline unreadable: %s" e
       in
+      Alcotest.(check (list (triple string string string)))
+        "stale baseline entries" []
+        (Driver.stale_baseline baseline report);
       let report, _waived = Driver.apply_baseline baseline report in
       Alcotest.(check int)
         "hot-path findings beyond the baseline" 0
@@ -396,6 +443,7 @@ let suite =
     Alcotest.test_case "nest_depth" `Quick test_nest_depth;
     Alcotest.test_case "baseline render stable" `Quick
       test_baseline_render_stable;
+    Alcotest.test_case "baseline stale entry" `Quick test_baseline_stale_entry;
     Alcotest.test_case "repo cost-clean mod baseline" `Quick
       test_repo_is_cost_clean;
   ]

@@ -48,12 +48,7 @@ module Ref_mailbox = struct
   let is_empty t = Int_map.is_empty t.by_id
   let pending t = List.map snd (Int_map.bindings t.by_id)
   let pending_for t ~dst = List.filter (fun e -> e.Dsim.Envelope.dst = dst) (pending t)
-  let pending_from t ~src = List.filter (fun e -> e.Dsim.Envelope.src = src) (pending t)
   let pending_ids t = List.map fst (Int_map.bindings t.by_id)
-
-  let filter_ids t f =
-    Int_map.fold (fun id e acc -> if f e then id :: acc else acc) t.by_id []
-    |> List.rev
 end
 
 let envelope ~id ~src ~dst ~payload =
@@ -78,16 +73,11 @@ let mailbox_obs_equal (m : int Dsim.Mailbox.t) (r : int Ref_mailbox.t) =
   && Dsim.Mailbox.is_empty m = Ref_mailbox.is_empty r
   && Dsim.Mailbox.pending m = Ref_mailbox.pending r
   && Dsim.Mailbox.pending_ids m = Ref_mailbox.pending_ids r
-  && Dsim.Mailbox.filter_ids m (fun e -> e.Dsim.Envelope.id mod 3 = 0)
-     = Ref_mailbox.filter_ids r (fun e -> e.Dsim.Envelope.id mod 3 = 0)
   && List.for_all
        (fun dst ->
          Dsim.Mailbox.pending_for m ~dst = Ref_mailbox.pending_for r ~dst
          && iter_for_collect dst = Ref_mailbox.pending_for r ~dst)
        [ -1; 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-  && List.for_all
-       (fun src -> Dsim.Mailbox.pending_from m ~src = Ref_mailbox.pending_from r ~src)
-       [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
 let prop_mailbox_differential =
   QCheck.Test.make ~count:60 ~name:"mailbox matches Int_map reference"
@@ -151,7 +141,7 @@ let prop_mailbox_differential =
 (* Broadcast envelopes against the same reference: one [add_broadcast]
    must be observation-equivalent to the n eager adds it replaces, under
    random takes, finds, corrupt-splits ([replace_payload] on a broadcast
-   member) and range sweeps. *)
+   member), range sweeps and [drain_for] visit-and-remove walks. *)
 let prop_broadcast_mailbox_differential =
   QCheck.Test.make ~count:60 ~name:"lazy broadcast matches n eager adds"
     QCheck.small_int (fun seed ->
@@ -165,7 +155,7 @@ let prop_broadcast_mailbox_differential =
         ((first mod 5) + 1, first, first / 4)  (* depth, step, window *)
       in
       for op = 1 to 200 do
-        (match Prng.Stream.int_below rng 10 with
+        (match Prng.Stream.int_below rng 11 with
         | 0 | 1 | 2 ->
             (* a broadcast: ids [first, first + count), dst = id - first *)
             let count = 1 + Prng.Stream.int_below rng 9 in
@@ -222,6 +212,28 @@ let prop_broadcast_mailbox_differential =
             check
               (Dsim.Mailbox.replace_payload m id payload
               = Ref_mailbox.replace_payload r id payload)
+        | 9 ->
+            (* the engine's window delivery: visit-and-remove dst's
+               envelopes in an id range whose (dst, src) passes [allow] *)
+            let dst = Prng.Stream.int_below rng 10 in
+            let from = Prng.Stream.int_below rng (!next_id + 1) in
+            let til = from + Prng.Stream.int_below rng 32 in
+            let allow ~dst ~src = (dst + src) mod 3 <> 0 in
+            let drained = ref [] in
+            Dsim.Mailbox.drain_for m ~dst ~from ~til ~allow (fun e ->
+                drained := e :: !drained);
+            let expected =
+              List.filter
+                (fun e ->
+                  e.Dsim.Envelope.id >= from
+                  && e.Dsim.Envelope.id < til
+                  && allow ~dst ~src:e.Dsim.Envelope.src)
+                (Ref_mailbox.pending_for r ~dst)
+            in
+            List.iter
+              (fun e -> ignore (Ref_mailbox.take r e.Dsim.Envelope.id))
+              expected;
+            check (List.rev !drained = expected)
         | _ ->
             (* the engine's drop sweep: ascending ids over a range *)
             let from = Prng.Stream.int_below rng (!next_id + 1) in
@@ -412,9 +424,10 @@ let reference_apply_window config ?(drop_undelivered = true) window =
       (List.rev per_dst.(dst))
   done;
   if drop_undelivered then
-    List.iter
-      (fun id -> Dsim.Engine.apply config (Dsim.Step.Drop id))
-      (Dsim.Mailbox.filter_ids mailbox is_fresh);
+    Dsim.Mailbox.pending mailbox
+    |> List.filter is_fresh
+    |> List.iter (fun e ->
+           Dsim.Engine.apply config (Dsim.Step.Drop e.Dsim.Envelope.id));
   List.iter
     (fun p -> Dsim.Engine.apply config (Dsim.Step.Reset p))
     (Dsim.Window.resets window)
@@ -444,6 +457,10 @@ let configs_agree fast slow =
   && pending fast = pending slow
   && counters fast = counters slow
 
+(* Windows in both representations: per-processor ([Window.make]) and
+   uniform ([Window.uniform ~silenced ~resets], one shared mask), and
+   sometimes the previous window object again, so a run of one uniform
+   window hits the engine the way a fixed-silencing adversary's does. *)
 let prop_apply_window_differential =
   QCheck.Test.make ~count:60
     ~name:"apply_window matches reference list/map semantics over random \
@@ -456,14 +473,27 @@ let prop_apply_window_differential =
       let rng = Prng.Stream.root ((seed * 7919) + 13) in
       let pool = List.init (n + 3) (fun i -> i - 1) in
       let ok = ref true in
-      for _w = 1 to 6 do
-        let receive_sets =
-          Array.init n (fun _ -> List.filter (fun _ -> Prng.Stream.bool rng) pool)
-        in
-        let resets =
+      let previous = ref None in
+      for _w = 1 to 8 do
+        let resets () =
           List.filter (fun _ -> Prng.Stream.bernoulli rng 0.2) [ 0; 1; 2 ]
         in
-        let window = Dsim.Window.make ~receive_sets ~resets in
+        let window =
+          match (Prng.Stream.int_below rng 3, !previous) with
+          | 0, Some w -> w
+          | 1, _ ->
+              let silenced =
+                List.filter (fun _ -> Prng.Stream.bernoulli rng 0.3) pool
+              in
+              Dsim.Window.uniform ~n ~silenced ~resets:(resets ()) ()
+          | _ ->
+              let receive_sets =
+                Array.init n (fun _ ->
+                    List.filter (fun _ -> Prng.Stream.bool rng) pool)
+              in
+              Dsim.Window.make ~receive_sets ~resets:(resets ())
+        in
+        previous := Some window;
         let drop_undelivered = Prng.Stream.bool rng in
         Dsim.Engine.apply_window fast ~drop_undelivered window;
         reference_apply_window slow ~drop_undelivered window;
@@ -552,51 +582,6 @@ let prop_lazy_vs_eager_broadcast =
         if not (configs_agree lazy_ eager) then ok := false
       done;
       !ok)
-
-(* The batched applier: [apply_windows] fuses runs of consecutive
-   uniform windows with physically-equal (or Bitset.equal) masks and no
-   resets into one mailbox sweep with bulk trace accounting.  Against a
-   mixed schedule — repeated shared windows, equal-but-distinct
-   windows, silenced/reset/per-processor windows forcing mid-run
-   fallback — it must match window-at-a-time application step for
-   step. *)
-let prop_batched_vs_unbatched =
-  QCheck.Test.make ~count:50
-    ~name:"apply_windows (fused uniform runs) matches window-at-a-time \
-           application"
-    QCheck.small_int (fun seed ->
-      let n = 7 and t = 2 in
-      let protocol = Protocols.Ben_or.protocol () in
-      let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
-      let batched = Dsim.Engine.init ~protocol ~n ~fault_bound:t ~inputs ~seed () in
-      let plain = Dsim.Engine.init ~protocol ~n ~fault_bound:t ~inputs ~seed () in
-      let rng = Prng.Stream.root ((seed * 4513) + 7) in
-      let all_but i = List.filter (fun p -> p <> i) (List.init n (fun p -> p)) in
-      let pool =
-        [|
-          Dsim.Window.uniform ~n ();
-          (* equal mask, different object: exercises the Bitset.equal
-             extension of a fused run *)
-          Dsim.Window.uniform ~n ();
-          Dsim.Window.uniform ~n ~silenced:[ 0 ] ();
-          Dsim.Window.uniform ~n ~resets:[ 1 ] ();
-          Dsim.Window.make ~receive_sets:(Array.init n all_but) ~resets:[];
-        |]
-      in
-      let windows =
-        List.init
-          (3 + Prng.Stream.int_below rng 8)
-          (fun _ -> pool.(Prng.Stream.int_below rng (Array.length pool)))
-      in
-      let drop_undelivered = Prng.Stream.bool rng in
-      Dsim.Engine.apply_windows batched ~drop_undelivered windows;
-      List.iter
-        (fun w -> Dsim.Engine.apply_window plain ~drop_undelivered w)
-        windows;
-      configs_agree batched plain
-      && Dsim.Engine.window_index batched = Dsim.Engine.window_index plain
-      && Dsim.Trace.windows_closed (Dsim.Engine.trace batched)
-         = Dsim.Trace.windows_closed (Dsim.Engine.trace plain))
 
 (* The trace-sink contract: for one schedule, the incremental
    fingerprint is identical across the in-memory, ring and chunk-
@@ -847,7 +832,6 @@ let suite =
       prop_bitset_reference;
       prop_apply_window_differential;
       prop_lazy_vs_eager_broadcast;
-      prop_batched_vs_unbatched;
       prop_streamed_sink_fingerprint;
     ]
   @ [

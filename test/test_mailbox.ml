@@ -39,10 +39,7 @@ let test_pending_filters () =
   Dsim.Mailbox.add mb (envelope ~src:0 ~dst:1 1);
   Dsim.Mailbox.add mb (envelope ~src:0 ~dst:2 2);
   Dsim.Mailbox.add mb (envelope ~src:3 ~dst:1 3);
-  Alcotest.(check int) "for dst 1" 2 (List.length (Dsim.Mailbox.pending_for mb ~dst:1));
-  Alcotest.(check int) "from src 0" 2 (List.length (Dsim.Mailbox.pending_from mb ~src:0));
-  let big = Dsim.Mailbox.filter_ids mb (fun e -> e.Dsim.Envelope.id > 1) in
-  Alcotest.(check (list int)) "filter ids" [ 2; 3 ] big
+  Alcotest.(check int) "for dst 1" 2 (List.length (Dsim.Mailbox.pending_for mb ~dst:1))
 
 let test_replace_payload () =
   let mb = Dsim.Mailbox.create () in
