@@ -548,6 +548,35 @@ let bench_quorum_check_source () =
       | Ok _ -> invalid_arg "bench: fixture must be clean"
       | Error e -> invalid_arg e)
 
+(* The audited path: Ben-Or against the stepwise split-vote adversary at
+   n = 9, t = 4 (the perfbench audited-ben-or shape), 4 000 steps at a
+   fixed seed.  [record] is the run with every event kept; [audit] is
+   [Trace_lint.audit] over one such finished run, recorded once
+   outside the measured closure. *)
+let audit_n = 9
+let audit_t = 4
+
+let recorded_ben_or_run () =
+  let config =
+    Dsim.Engine.init ~protocol:(Protocols.Ben_or.protocol ()) ~n:audit_n
+      ~fault_bound:audit_t
+      ~inputs:(Array.init audit_n (fun i -> i mod 2 = 0))
+      ~seed:1 ~record_events:true ()
+  in
+  ignore
+    (Dsim.Runner.run_steps config ~strategy:(Adversary.Split_vote.stepwise ())
+       ~max_steps:4_000 ~stop:`Never);
+  config
+
+let bench_record_ben_or () = Staged.stage (fun () -> ignore (recorded_ben_or_run ()))
+
+let bench_audit_ben_or () =
+  let config = recorded_ben_or_run () in
+  Staged.stage (fun () ->
+      match Lintkit.Trace_lint.audit ~decision_quorum:(audit_n - audit_t) config with
+      | [] -> ()
+      | _ -> invalid_arg "bench: the recorded run must audit clean")
+
 (* Groups are kept as (name, tests) pairs so machine mode can select a
    subset with --only; the names double as the stable identifiers the
    regression baseline keys on. *)
@@ -621,6 +650,11 @@ let groups =
           (bench_mcheck_explore ~model:"rbc!quorum-t" ~depth:2 ~symmetry:true
              ~corrupt:1);
         Test.make ~name:"replay-bracha-mutant-d9" (bench_mcheck_replay ());
+      ] );
+    ( "audit",
+      [
+        Test.make ~name:"record-ben-or-n9" (bench_record_ben_or ());
+        Test.make ~name:"audit-ben-or-n9" (bench_audit_ben_or ());
       ] );
     ( "quorum-lint",
       [

@@ -29,10 +29,12 @@ val init :
     [track_deliveries] (default [false]) turns on the per-delivery
     conditioning log behind {!recent_deliveries}; leave it off for
     plain sweeps so the hot loop records nothing.  [sink] (default
-    in-memory) selects where recorded events go — pass a streamed
-    {!Trace.chunks} sink to keep multi-million-event audited runs at
-    O(chunk) live heap; remember to {!Trace.flush} the trace at end of
-    run. *)
+    {!Trace.Memory}) selects where recorded events go.  The in-memory
+    sink keeps every event at one cons each, which is what
+    [Lintkit.Trace_lint.audit] replays.  A streamed {!Trace.chunks}
+    sink keeps multi-million-event runs at O(chunk) live heap instead;
+    nothing stays behind to audit, and the trace must be
+    {!Trace.flush}ed at end of run. *)
 
 val copy : ('s, 'm) t -> ('s, 'm) t
 (** Deep copy: future steps on the copy do not affect the original.

@@ -538,66 +538,13 @@ let pending_ids t =
 
 (* Two-pointer merge of dst's arena queue (ascending by construction)
    with the live broadcast entries (ascending [bc_first], at most one
-   contribution — id [bc_first + dst] — each).  Cursors advance before
-   the callback runs, so taking (or corrupt-splitting) the visited
-   envelope is safe. *)
-let iter_for t ~dst f =
-  if dst < 0 then
-    iter_all t (fun e -> if e.Envelope.dst = dst then f e)
-  else begin
-    let ucur = ref (if dst < Array.length t.heads then t.heads.(dst) else -1) in
-    let k = ref 0 in
-    let bc_candidate () =
-      let res = ref (-1) and scanning = ref true in
-      while !scanning do
-        if !k >= t.bc_len then scanning := false
-        else
-          match t.bcs.(!k) with
-          | Some bc when dst < bc.bc_count && Bitset.mem bc.bc_pending dst ->
-              res := !k;
-              scanning := false
-          | Some _ | None -> incr k
-      done;
-      !res
-    in
-    let running = ref true in
-    while !running do
-      let kb = bc_candidate () in
-      let uid = !ucur in
-      if uid < 0 && kb < 0 then running := false
-      else begin
-        let bc =
-          if kb < 0 then None
-          else match t.bcs.(kb) with Some _ as s -> s | None -> assert false
-        in
-        let bid = match bc with None -> max_int | Some b -> b.bc_first + dst in
-        if uid >= 0 && uid < bid then begin
-          let rel = uid - t.base in
-          ucur := t.nexts.(rel);
-          f (env_of_slot t rel)
-        end
-        else
-          match bc with
-          | Some b ->
-              incr k;
-              f (env_of_bc b bid)
-          | None -> assert false
-      end
-    done
-  end
-
-let pending_for t ~dst =
-  let acc = ref [] in
-  iter_for t ~dst (fun e -> acc := e :: !acc);
-  List.rev !acc
-
-(* [iter_for] fused with removal: visit dst's pending envelopes
-   ascending, and for each one with id in [from, til) whose source
-   passes [allow ~dst], remove it from the store {e before} the
-   callback runs.  One merge walk instead of a walk plus a per-envelope
-   [take] re-probe — the engine's window delivery runs on this. *)
-let drain_for t ~dst ~from ~til ~allow f =
-  if dst < 0 then invalid_arg "Mailbox.drain_for: negative dst";
+   contribution — id [bc_first + dst] — each): the one walk under
+   [iter_for] and [drain_for].  Each pending envelope of dst with id in
+   [from, til) whose source passes [allow ~dst] goes to [f] in
+   ascending id order; with [remove] it leaves the store {e before} [f]
+   sees it.  Cursors advance before [f] runs, so taking (or
+   corrupt-splitting) the visited envelope is safe. *)
+let walk_for t ~dst ~remove ~from ~til ~allow f =
   let ucur = ref (if dst < Array.length t.heads then t.heads.(dst) else -1) in
   let k = ref 0 in
   let bc_candidate () =
@@ -629,7 +576,7 @@ let drain_for t ~dst ~from ~til ~allow f =
         ucur := t.nexts.(rel);
         if uid >= from && uid < til && allow ~dst ~src:t.srcs.(rel) then begin
           let env = env_of_slot t rel in
-          arena_remove t rel;
+          if remove then arena_remove t rel;
           f env
         end
       end
@@ -639,12 +586,30 @@ let drain_for t ~dst ~from ~til ~allow f =
             incr k;
             if bid >= from && bid < til && allow ~dst ~src:b.bc_src then begin
               let env = env_of_bc b bid in
-              bc_remove t kb b bid;
+              if remove then bc_remove t kb b bid;
               f env
             end
         | None -> assert false
     end
   done
+
+let allow_all ~dst:_ ~src:_ = true
+
+let iter_for t ~dst f =
+  if dst < 0 then iter_all t (fun e -> if e.Envelope.dst = dst then f e)
+  else walk_for t ~dst ~remove:false ~from:min_int ~til:max_int ~allow:allow_all f
+
+let pending_for t ~dst =
+  let acc = ref [] in
+  iter_for t ~dst (fun e -> acc := e :: !acc);
+  List.rev !acc
+
+(* The engine's window delivery runs on this: one merge walk that
+   removes as it visits, instead of a walk plus a per-envelope [take]
+   re-probe. *)
+let drain_for t ~dst ~from ~til ~allow f =
+  if dst < 0 then invalid_arg "Mailbox.drain_for: negative dst";
+  walk_for t ~dst ~remove:true ~from ~til ~allow f
 
 (* Ascending walk over the pending ids in [from, til), merging the
    arena occupancy scan with the broadcast pending bits.  The callback

@@ -9,7 +9,6 @@ type event =
 
 type sink =
   | Memory
-  | Ring of int
   | Chunks of { emit : string -> unit; chunk_bytes : int }
 
 let default_chunk_bytes = 65536
@@ -21,23 +20,24 @@ let chunks ?(chunk_bytes = default_chunk_bytes) emit =
 let to_buffer ?chunk_bytes buffer = chunks ?chunk_bytes (Buffer.add_string buffer)
 let to_channel ?chunk_bytes oc = chunks ?chunk_bytes (output_string oc)
 
-(* Retained event storage behind the sink.  [Mem] is the historical
-   unbounded list; [Ringbuf] keeps the last k events in a circular
-   buffer; [Stream] renders each event into a scratch buffer flushed to
-   the consumer in chunks, so multi-million-event runs keep O(chunk)
-   live heap. *)
+(* Retained event storage behind the sink.  [Mem] keeps every event and
+   only conses: its fingerprint is computed from the retained list when
+   asked for.  [Stream] renders each event into a scratch buffer flushed
+   to the consumer in chunks, so multi-million-event runs keep O(chunk)
+   live heap; its events leave the heap, so it hashes their text as it
+   passes. *)
 type store =
   | Mem of { mutable events_rev : event list }
-  | Ringbuf of { slots : event array; mutable next : int; mutable stored : int }
-  | Stream of { scratch : Buffer.t; chunk_bytes : int; emit : string -> unit }
+  | Stream of {
+      scratch : Buffer.t;
+      chunk_bytes : int;
+      emit : string -> unit;
+      mutable hash : int64;  (* FNV-1a over the text streamed so far *)
+    }
 
 type t = {
   record_events : bool;
   store : store;
-  render_buf : Buffer.t;
-      (* per-event render scratch for the non-stream stores: events are
-         rendered once to feed the incremental fingerprint *)
-  mutable hash : int64;  (* FNV-1a over the rendered event text *)
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
@@ -57,23 +57,14 @@ let fnv_prime = 0x100000001B3L
 
 let store_of_sink = function
   | Memory -> Mem { events_rev = [] }
-  | Ring capacity ->
-      if capacity < 0 then invalid_arg "Trace.create: negative ring capacity";
-      Ringbuf
-        {
-          slots = Array.make capacity (Window_closed { index = 0 });
-          next = 0;
-          stored = 0;
-        }
   | Chunks { emit; chunk_bytes } ->
-      Stream { scratch = Buffer.create (min chunk_bytes 4096); chunk_bytes; emit }
+      let scratch = Buffer.create (min chunk_bytes 4096) in
+      Stream { scratch; chunk_bytes; emit; hash = fnv_offset }
 
 let create ?(sink = Memory) ~record_events () =
   {
     record_events;
     store = store_of_sink sink;
-    render_buf = Buffer.create 64;
-    hash = fnv_offset;
     sent = 0;
     delivered = 0;
     dropped = 0;
@@ -85,11 +76,10 @@ let create ?(sink = Memory) ~record_events () =
 
 let copy t =
   {
-    record_events = t.record_events;
+    t with
     store =
       (match t.store with
       | Mem m -> Mem { events_rev = m.events_rev }
-      | Ringbuf r -> Ringbuf { r with slots = Array.copy r.slots }
       | Stream s ->
           (* The copy keeps its own scratch but shares the downstream
              consumer: interleaving is on the caller.  Lookahead forks
@@ -97,22 +87,12 @@ let copy t =
              trace is copied explicitly. *)
           let scratch = Buffer.create (Buffer.length s.scratch + 64) in
           Buffer.add_buffer scratch s.scratch;
-          Stream { s with scratch })
-    ;
-    render_buf = Buffer.create 64;
-    hash = t.hash;
-    sent = t.sent;
-    delivered = t.delivered;
-    dropped = t.dropped;
-    resets = t.resets;
-    crashes = t.crashes;
-    windows_closed = t.windows_closed;
-    decisions_rev = t.decisions_rev;
+          Stream { s with scratch });
   }
 
 (* One line per event, identical text to [pp_event] plus a newline:
    the rendered stream is what the chunked sink emits and what the
-   incremental fingerprint hashes, for every store. *)
+   fingerprint hashes, for every store. *)
 let render b = function
   | Sent { src; dst; msg_id; depth } ->
       Printf.bprintf b "sent #%d %d->%d depth=%d\n" msg_id src dst depth
@@ -127,16 +107,16 @@ let render b = function
         step window chain_depth
   | Window_closed { index } -> Printf.bprintf b "window %d closed\n" index
 
-let hash_range t b ~from ~til =
-  let h = ref t.hash in
+let hash_range hash b ~from ~til =
+  let h = ref hash in
   for i = from to til - 1 do
     h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Buffer.nth b i)))) fnv_prime
   done;
-  t.hash <- !h
+  !h
 
 let flush t =
   match t.store with
-  | Mem _ | Ringbuf _ -> ()
+  | Mem _ -> ()
   | Stream s ->
       if Buffer.length s.scratch > 0 then begin
         s.emit (Buffer.contents s.scratch);
@@ -144,28 +124,15 @@ let flush t =
       end
 
 (* Only reached when [record_events] is on, so the per-delivery hot
-   path of plain sweeps never renders or hashes anything. *)
+   path of plain sweeps never renders or hashes anything, and a
+   recorded in-memory run pays one cons per event. *)
 let note_event t event =
   match t.store with
-  | Mem m ->
-      m.events_rev <- event :: m.events_rev;
-      Buffer.clear t.render_buf;
-      render t.render_buf event;
-      hash_range t t.render_buf ~from:0 ~til:(Buffer.length t.render_buf)
-  | Ringbuf r ->
-      let capacity = Array.length r.slots in
-      if capacity > 0 then begin
-        r.slots.(r.next) <- event;
-        r.next <- (r.next + 1) mod capacity;
-        r.stored <- min (r.stored + 1) capacity
-      end;
-      Buffer.clear t.render_buf;
-      render t.render_buf event;
-      hash_range t t.render_buf ~from:0 ~til:(Buffer.length t.render_buf)
+  | Mem m -> m.events_rev <- event :: m.events_rev
   | Stream s ->
       let before = Buffer.length s.scratch in
       render s.scratch event;
-      hash_range t s.scratch ~from:before ~til:(Buffer.length s.scratch);
+      s.hash <- hash_range s.hash s.scratch ~from:before ~til:(Buffer.length s.scratch);
       if Buffer.length s.scratch >= s.chunk_bytes then flush t
 
 let note t event = if t.record_events then note_event t event
@@ -200,15 +167,24 @@ let record_broadcast t ~src ~first ~count ~depth =
     done
 
 let events t =
-  match t.store with
-  | Mem m -> List.rev m.events_rev
-  | Ringbuf r ->
-      let capacity = Array.length r.slots in
-      let start = (r.next - r.stored + (2 * capacity)) mod (max capacity 1) in
-      List.init r.stored (fun i -> r.slots.((start + i) mod capacity))
-  | Stream _ -> []
+  match t.store with Mem m -> List.rev m.events_rev | Stream _ -> []
 
-let events_fingerprint t = Printf.sprintf "%016Lx" t.hash
+(* On demand for [Mem]: render and hash the retained list, one scratch
+   buffer reused across events.  Only tests and differentials ask. *)
+let events_fingerprint t =
+  let hash =
+    match t.store with
+    | Stream s -> s.hash
+    | Mem m ->
+        let b = Buffer.create 64 in
+        List.fold_left
+          (fun h event ->
+            Buffer.clear b;
+            render b event;
+            hash_range h b ~from:0 ~til:(Buffer.length b))
+          fnv_offset (List.rev m.events_rev)
+  in
+  Printf.sprintf "%016Lx" hash
 
 let sent t = t.sent
 let delivered t = t.delivered

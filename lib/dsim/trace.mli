@@ -7,12 +7,11 @@
     always maintained.
 
     When events are recorded they flow into a {!sink}: the default
-    in-memory store (today's unbounded list), a bounded ring keeping
-    only the last k events, or a chunk-flushed streaming consumer that
-    keeps O(chunk) live heap on multi-million-event runs.  Every sink
-    maintains the same incremental {!events_fingerprint}, so a streamed
-    run can prove itself bit-identical to an in-memory one without
-    either holding the whole event list. *)
+    in-memory store, which keeps every event, or a chunk-flushed
+    streaming consumer that keeps O(chunk) live heap on
+    multi-million-event runs.  Both sinks give the same
+    {!events_fingerprint} for the same events, so a streamed run can
+    prove itself bit-identical to an in-memory one. *)
 
 type event =
   | Sent of { src : int; dst : int; msg_id : int; depth : int }
@@ -24,10 +23,9 @@ type event =
   | Window_closed of { index : int }
 
 type sink =
-  | Memory  (** Unbounded in-memory event list — the historical default. *)
-  | Ring of int
-      (** Keep only the last k events; {!events} returns the retained
-          suffix in chronological order. *)
+  | Memory
+      (** Unbounded in-memory event list, the default.  Recording an
+          event costs one cons. *)
   | Chunks of { emit : string -> unit; chunk_bytes : int }
       (** Render events to text ({!pp_event} lines) and hand the
           consumer chunks of at least [chunk_bytes]; {!events} returns
@@ -71,16 +69,22 @@ val flush : t -> unit
     a no-op on the other sinks. *)
 
 val events : t -> event list
-(** Chronological; empty unless [record_events] was set.  Under a
-    [Ring] sink, only the retained suffix; under [Chunks], always
-    empty (the text already left through the consumer). *)
+(** Chronological; empty unless [record_events] was set.  Under
+    [Chunks], always empty (the text already left through the
+    consumer). *)
 
 val events_fingerprint : t -> string
-(** Incremental FNV-1a digest (16 hex chars) over the rendered text of
-    every event recorded so far — identical across sinks for identical
-    event sequences, and the basis of the streamed-vs-memory
+(** FNV-1a digest (16 hex chars) over the rendered text ({!pp_event}
+    lines) of every event recorded so far — identical across sinks for
+    identical event sequences, and the basis of the streamed-vs-memory
     differential tests.  Constant (the empty-sequence digest) when
-    [record_events] is off. *)
+    [record_events] is off.
+
+    A [Chunks] trace hashes each event as it streams out, so this is
+    O(1).  A [Memory] trace computes it on demand: each call renders
+    and hashes the whole retained list, O(events) time and
+    O(events) transient words, so that recording itself stays one
+    cons per event. *)
 
 val sent : t -> int
 val delivered : t -> int

@@ -105,9 +105,10 @@ let default_config =
            path). *)
         ("Trace.record_broadcast", Costs.Const);
         (* note_event only runs when event recording is on (audited
-           runs, never plain sweeps); per recorded event it renders one
-           bounded line, hashes its bytes, and amortizes the chunked
-           sink flush across chunk_bytes of output. *)
+           runs, never plain sweeps); per recorded event the in-memory
+           sink conses once, and the chunked sink renders one bounded
+           line, hashes its bytes, and amortizes the flush across
+           chunk_bytes of output. *)
         ("Trace.note_event", Costs.Const);
       ];
     exempt_modules = Effects.default_exempt_modules;

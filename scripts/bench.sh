@@ -73,8 +73,9 @@ fi
 
 # The quick smoke pins the kernel hot-path groups the tentpole perf
 # work targets: window application (E1), the stepwise delivery loops
-# (E3), the ensemble sweep (par-sweep) and the model checker's node
-# expansion loop (modelcheck).  The scaling mode runs the n-sweep
+# (E3), the ensemble sweep (par-sweep), the model checker's node
+# expansion loop (modelcheck) and the recorded-and-audited run
+# (audit).  The scaling mode runs the n-sweep
 # group instead; both reuse the binary's --quick so only the
 # deterministic allocation fence gates.
 if [ "$quick" = 1 ] && [ "$scaling" = 1 ]; then
@@ -83,7 +84,7 @@ if [ "$quick" = 1 ] && [ "$scaling" = 1 ]; then
 fi
 quick_args=""
 if [ "$quick" = 1 ]; then
-  quick_args="--quick --only E1 --only E3 --only par-sweep --only modelcheck"
+  quick_args="--quick --only E1 --only E3 --only par-sweep --only modelcheck --only audit"
 elif [ "$scaling" = 1 ]; then
   quick_args="--quick --only scaling"
 fi

@@ -210,15 +210,24 @@ fi
 rm -f "$bench_out"
 
 echo "check: streamed-trace sink differential"
-# The ring/chunked sinks must reproduce the Memory sink's event
-# fingerprint bit-for-bit.  Gated exit-code style on the kernel-diff
-# qcheck differential plus the pinned lewko run through a chunked sink
-# (cases 6..7) and the trace suite's sink unit tests — alcotest exits
-# 0 on success, 1 on any failure.
+# The chunked sink must reproduce the Memory sink's event fingerprint
+# bit-for-bit.  Gated exit-code style on the kernel-diff qcheck
+# differential plus the pinned lewko run through a chunked sink
+# (cases 6..7), the pinned event digests (case 14) and the trace
+# suite's sink unit tests — alcotest exits 0 on success, 1 on any
+# failure.
 tests="_build/default/test/test_main.exe"
 expect 0 "$tests" test kernel-diff 6..7
+expect 0 "$tests" test kernel-diff 14
 expect 0 "$tests" test trace
-echo "check: trace sinks fingerprint-identical across Memory/Ring/Chunks"
+echo "check: trace sinks fingerprint-identical across Memory/Chunks"
+
+echo "check: trace auditor differential"
+# The dense-ledger auditor must report exactly what the Hashtbl
+# reference in test/trace_lint_reference.ml reports, on engine traces
+# and on mutated event lists.
+expect 0 "$tests" test trace-lint-diff
+echo "check: dense auditor = reference auditor"
 
 echo "check: --mcheck smoke (exhaustive model checker)"
 # bin/mcheck.exe mirrors the lint CLI contract: 0 = every reachable

@@ -135,29 +135,28 @@ let test_json_event_shapes () =
 
 let ev_drop i = Dsim.Trace.Dropped { msg_id = i }
 
-let test_ring_retention () =
-  let t = Dsim.Trace.create ~sink:(Dsim.Trace.Ring 3) ~record_events:true () in
+let dropped_ids events =
+  List.filter_map
+    (function Dsim.Trace.Dropped { msg_id } -> Some msg_id | _ -> None)
+    events
+
+let test_memory_retention () =
+  let t = Dsim.Trace.create ~record_events:true () in
   for i = 1 to 7 do
     Dsim.Trace.record t (ev_drop i)
   done;
-  Alcotest.(check (list int)) "last k, chronological" [ 5; 6; 7 ]
-    (List.filter_map
-       (function Dsim.Trace.Dropped { msg_id } -> Some msg_id | _ -> None)
-       (Dsim.Trace.events t));
+  Alcotest.(check (list int)) "every event, chronological" [ 1; 2; 3; 4; 5; 6; 7 ]
+    (dropped_ids (Dsim.Trace.events t));
   Alcotest.(check int) "counter sees all" 7 (Dsim.Trace.dropped t);
-  (* Retention does not touch the digest: a Memory trace fed the same
-     sequence fingerprints identically. *)
-  let m = Dsim.Trace.create ~record_events:true () in
-  for i = 1 to 7 do
-    Dsim.Trace.record m (ev_drop i)
-  done;
-  Alcotest.(check string) "fingerprint ignores eviction"
-    (Dsim.Trace.events_fingerprint m)
+  Alcotest.(check string) "asking twice gives the same digest"
+    (Dsim.Trace.events_fingerprint t)
     (Dsim.Trace.events_fingerprint t);
-  let z = Dsim.Trace.create ~sink:(Dsim.Trace.Ring 0) ~record_events:true () in
-  Dsim.Trace.record z (ev_drop 1);
-  Alcotest.(check int) "zero-capacity ring retains nothing" 0
-    (List.length (Dsim.Trace.events z))
+  let off = Dsim.Trace.create ~record_events:false () in
+  Dsim.Trace.record off (ev_drop 1);
+  Alcotest.(check int) "unrecorded trace retains nothing" 0
+    (List.length (Dsim.Trace.events off));
+  Alcotest.(check string) "unrecorded trace has the empty digest" "cbf29ce484222325"
+    (Dsim.Trace.events_fingerprint off)
 
 let test_chunk_flush () =
   let flushed = ref [] in
@@ -193,13 +192,7 @@ let test_chunk_flush () =
 
 let test_sink_fingerprints_agree () =
   let buf = Buffer.create 64 in
-  let sinks =
-    [
-      Dsim.Trace.Memory;
-      Dsim.Trace.Ring 2;
-      Dsim.Trace.to_buffer ~chunk_bytes:16 buf;
-    ]
-  in
+  let sinks = [ Dsim.Trace.Memory; Dsim.Trace.to_buffer ~chunk_bytes:16 buf ] in
   let digests =
     List.map
       (fun sink ->
@@ -215,9 +208,7 @@ let test_sink_fingerprints_agree () =
       sinks
   in
   match digests with
-  | [ a; b; c ] ->
-      Alcotest.(check string) "memory = ring" a b;
-      Alcotest.(check string) "memory = chunks" a c
+  | [ a; b ] -> Alcotest.(check string) "memory = chunks" a b
   | _ -> assert false
 
 let test_stream_copy_shares_consumer () =
@@ -247,9 +238,76 @@ let test_sink_invalid_args () =
   (match Dsim.Trace.chunks ~chunk_bytes:0 (fun _ -> ()) with
   | _ -> Alcotest.fail "chunk_bytes = 0 should raise"
   | exception Invalid_argument _ -> ());
-  match Dsim.Trace.create ~sink:(Dsim.Trace.Ring (-1)) ~record_events:true () with
-  | _ -> Alcotest.fail "negative ring capacity should raise"
+  match Dsim.Trace.to_buffer ~chunk_bytes:(-1) (Buffer.create 1) with
+  | _ -> Alcotest.fail "negative chunk_bytes should raise"
   | exception Invalid_argument _ -> ()
+
+(* The Memory sink hashes its retained list on demand, the Chunks sink
+   event by event as the text streams out: for any event sequence the
+   two digests agree, also after [copy] when the original and the copy
+   each go on recording different events. *)
+let gen_event =
+  let open QCheck.Gen in
+  let id = int_range (-3) 40 and pid = int_range (-2) 9 in
+  oneof
+    [
+      map3 (fun src dst (msg_id, depth) -> Dsim.Trace.Sent { src; dst; msg_id; depth })
+        pid pid (pair id (int_range 0 9));
+      map3
+        (fun src dst (msg_id, depth) -> Dsim.Trace.Delivered { src; dst; msg_id; depth })
+        pid pid (pair id (int_range 0 9));
+      map (fun msg_id -> Dsim.Trace.Dropped { msg_id }) id;
+      map (fun pid -> Dsim.Trace.Reset_done { pid }) pid;
+      map (fun pid -> Dsim.Trace.Crashed { pid }) pid;
+      map3
+        (fun pid value (step, window, chain_depth) ->
+          Dsim.Trace.Decided { pid; value; step; window; chain_depth })
+        pid bool
+        (triple (int_range 0 500) (int_range 0 9) (int_range 0 9));
+      map (fun index -> Dsim.Trace.Window_closed { index }) (int_range 0 9);
+    ]
+
+let arb_three_runs =
+  let events = QCheck.Gen.(list_size (int_range 0 30) gen_event) in
+  QCheck.make
+    ~print:(fun (a, b, c) ->
+      let show l =
+        String.concat "; " (List.map (Format.asprintf "%a" Dsim.Trace.pp_event) l)
+      in
+      Printf.sprintf "prefix [%s]\noriginal then [%s]\ncopy then [%s]" (show a) (show b)
+        (show c))
+    QCheck.Gen.(triple events events events)
+
+let prop_fingerprint_on_demand =
+  QCheck.Test.make ~count:300 ~name:"memory fingerprint on demand = chunks fingerprint"
+    arb_three_runs (fun (prefix, original_tail, copy_tail) ->
+      let record t events = List.iter (Dsim.Trace.record t) events in
+      let mem = Dsim.Trace.create ~record_events:true () in
+      let stream =
+        Dsim.Trace.create
+          ~sink:(Dsim.Trace.chunks ~chunk_bytes:24 ignore)
+          ~record_events:true ()
+      in
+      record mem prefix;
+      record stream prefix;
+      let agree a b =
+        String.equal (Dsim.Trace.events_fingerprint a) (Dsim.Trace.events_fingerprint b)
+      in
+      let prefix_ok = agree mem stream in
+      let mem_copy = Dsim.Trace.copy mem and stream_copy = Dsim.Trace.copy stream in
+      record mem original_tail;
+      record stream original_tail;
+      record mem_copy copy_tail;
+      record stream_copy copy_tail;
+      (* Each side against a fresh Memory trace fed the same sequence. *)
+      let fresh events =
+        let t = Dsim.Trace.create ~record_events:true () in
+        record t events;
+        t
+      in
+      prefix_ok && agree mem stream && agree mem_copy stream_copy
+      && agree mem (fresh (prefix @ original_tail))
+      && agree mem_copy (fresh (prefix @ copy_tail)))
 
 let suite =
   [
@@ -262,9 +320,10 @@ let suite =
     Alcotest.test_case "copy independent" `Quick test_copy_independent;
     Alcotest.test_case "printers do not crash" `Quick test_printers_do_not_crash;
     Alcotest.test_case "random-fair never drops" `Quick test_random_fair_never_drops;
-    Alcotest.test_case "ring retention" `Quick test_ring_retention;
+    Alcotest.test_case "memory retention" `Quick test_memory_retention;
     Alcotest.test_case "chunk flush" `Quick test_chunk_flush;
     Alcotest.test_case "sink fingerprints agree" `Quick test_sink_fingerprints_agree;
     Alcotest.test_case "stream copy shares consumer" `Quick test_stream_copy_shares_consumer;
     Alcotest.test_case "sink invalid args" `Quick test_sink_invalid_args;
+    QCheck_alcotest.to_alcotest prop_fingerprint_on_demand;
   ]
